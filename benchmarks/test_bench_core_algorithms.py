@@ -28,12 +28,13 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import random_vertex_pairs, related_vertex_pairs, rmat_uncertain
 
 from bench_config import BENCH_NUM_WALKS, QUICK, SWEEP_GRAPH_SIZE
+from tests.oracles import scalar_sampling_simrank
 
 ITERATIONS = 4
 NUM_WALKS = 300
 
-#: The paper's N, used by the backend-comparison benchmarks (reduced when
-#: REPRO_BENCH_QUICK=1, see benchmarks/conftest.py).
+#: The paper's N, used by the scalar-vs-keyed comparison benchmarks (reduced
+#: when REPRO_BENCH_QUICK=1, see benchmarks/conftest.py).
 BACKEND_NUM_WALKS = BENCH_NUM_WALKS
 
 
@@ -118,14 +119,14 @@ def test_bench_filter_vector_construction(benchmark, net_graph):
     assert len(filters) > 0
 
 
-# -- backend comparison on the scalability-sweep generator graphs -------------
+# -- scalar oracle vs keyed sampler on the scalability-sweep graphs -----------
 
 
 @pytest.fixture(scope="module")
 def sweep_graph():
     """An R-MAT graph from the Fig. 12 scalability sweep (smallest in quick mode)."""
     graph = rmat_uncertain(*SWEEP_GRAPH_SIZE, rng=43)
-    CSRGraph.from_uncertain(graph)  # warm the snapshot cache for all backends
+    CSRGraph.from_uncertain(graph)  # warm the snapshot cache for the keyed sampler
     return graph
 
 
@@ -136,50 +137,50 @@ def sweep_pair(sweep_graph):
 
 @pytest.mark.paper_artifact("backend-sampling-python")
 def test_bench_sampling_backend_python(benchmark, sweep_graph, sweep_pair):
-    """The scalar reference sampler at the paper's N=1000."""
+    """The scalar oracle sampler of ``tests/oracles.py`` at the paper's N=1000."""
     u, v = sweep_pair
-    result = benchmark(
-        sampling_simrank,
+    score = benchmark(
+        scalar_sampling_simrank,
         sweep_graph, u, v,
-        iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7, backend="python",
+        iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7,
     )
-    assert 0.0 <= result.score <= 1.0
+    assert 0.0 <= score <= 1.0
 
 
 @pytest.mark.paper_artifact("backend-sampling-vectorized")
 def test_bench_sampling_backend_vectorized(benchmark, sweep_graph, sweep_pair):
-    """The batch walk engine at the paper's N=1000."""
+    """The keyed batch walk sampler at the paper's N=1000."""
     u, v = sweep_pair
     result = benchmark(
         sampling_simrank,
         sweep_graph, u, v,
-        iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7, backend="vectorized",
+        iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7,
     )
     assert 0.0 <= result.score <= 1.0
 
 
 @pytest.mark.paper_artifact("backend-speedup-ratio")
 def test_bench_sampling_backend_speedup_ratio(benchmark, sweep_graph, sweep_pair):
-    """Measured python/vectorized ratio on the sampling hot path.
+    """Measured scalar-oracle / keyed-sampler ratio on the sampling hot path.
 
-    The vectorized batch walk engine should beat the scalar sampler by an
-    order of magnitude at N=1000; the exact ratio is machine-dependent, so the
+    The keyed batch walk sampler should beat the scalar sampler by an order
+    of magnitude at N=1000; the exact ratio is machine-dependent, so the
     assertion keeps head-room while the measured value lands in the benchmark
     report (``extra_info``).
     """
     u, v = sweep_pair
 
-    def measure(backend: str, repeats: int) -> float:
+    def measure(estimator, repeats: int) -> float:
         start = time.perf_counter()
         for _ in range(repeats):
-            sampling_simrank(
+            estimator(
                 sweep_graph, u, v,
-                iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7, backend=backend,
+                iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7,
             )
         return (time.perf_counter() - start) / repeats
 
     def compare():
-        return measure("python", 2) / measure("vectorized", 10)
+        return measure(scalar_sampling_simrank, 2) / measure(sampling_simrank, 10)
 
     ratio = benchmark.pedantic(compare, rounds=1, iterations=1)
     benchmark.extra_info["speedup_ratio"] = ratio

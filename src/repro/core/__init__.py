@@ -10,8 +10,8 @@ The package is organised around the paper's sections:
   (Definition 1, Theorems 1–3, Section V).
 * :mod:`repro.core.baseline` — the exact Baseline algorithm (Section VI-A).
 * :mod:`repro.core.sampling` — the Sampling algorithm (Section VI-B).
-* :mod:`repro.core.batch_walks` — the vectorized batch walk engine backing
-  the ``"vectorized"`` backend of the sampling-based algorithms.
+* :mod:`repro.core.batch_walks` — the keyed batch walk sampler behind the
+  sampling-based algorithms (evaluated by :mod:`repro.core.kernels`).
 * :mod:`repro.core.two_phase` — the two-phase algorithm SR-TS (Section VI-C).
 * :mod:`repro.core.speedup` — the bit-vector speed-up SR-SP (Section VI-D).
 * :mod:`repro.core.executors` — snapshot-scoped, batched method executors:
@@ -22,15 +22,10 @@ The package is organised around the paper's sections:
 
 from repro.core.baseline import baseline_simrank, baseline_simrank_all_pairs
 from repro.core.batch_walks import (
-    BACKENDS,
-    WalkBundleCache,
-    batch_meeting_probabilities,
     bundle_key,
     meeting_probabilities_against_many,
     meeting_probabilities_from_matrices,
-    sample_walk_matrix,
     sample_walk_matrix_keyed,
-    walk_matrix_from_graph,
 )
 from repro.core.engine import SimRankEngine, compute_simrank
 from repro.core.executors import (
@@ -44,8 +39,6 @@ from repro.core.executors import (
 )
 from repro.core.sampling import (
     required_sample_size,
-    sample_walk,
-    sample_walks,
     sampling_simrank,
 )
 from repro.core.simrank import (
@@ -68,15 +61,10 @@ from repro.core.walks import WalkStatistics, walk_probability
 __all__ = [
     "baseline_simrank",
     "baseline_simrank_all_pairs",
-    "BACKENDS",
-    "WalkBundleCache",
-    "batch_meeting_probabilities",
     "bundle_key",
     "meeting_probabilities_against_many",
     "meeting_probabilities_from_matrices",
-    "sample_walk_matrix",
     "sample_walk_matrix_keyed",
-    "walk_matrix_from_graph",
     "SimRankEngine",
     "compute_simrank",
     "METHODS",
@@ -87,8 +75,6 @@ __all__ = [
     "executor_for",
     "make_executor",
     "required_sample_size",
-    "sample_walk",
-    "sample_walks",
     "sampling_simrank",
     "SimRankResult",
     "approximation_error_bound",

@@ -15,10 +15,9 @@ answer bit-identically at equal graph states.
 Multi-pair calls (:meth:`SimRankEngine.similarity_many`) share batch work
 per *unique endpoint*: walk bundles for the sampled stages, single-source
 transition distributions for the exact stages, and SR-SP propagation tables
-per endpoint side.  All vectorized randomness is keyed (walk bundles from
+per endpoint side.  All randomness is keyed (walk bundles from
 ``(seed, vertex, twin, shard)`` world keys, SR-SP filters from per-walk-count
-seed streams), so results are independent of query order and batching; the
-``backend="python"`` scalar reference remains stateful and per-pair.
+seed streams), so results are independent of query order and batching.
 
 Both caches (filters, α) are keyed on the graph's mutation version, so
 mutating or replacing :attr:`graph` transparently rebuilds them.
@@ -31,7 +30,7 @@ from typing import Hashable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.baseline import baseline_simrank_all_pairs
-from repro.core.batch_walks import DEFAULT_SHARD_SIZE, validate_backend
+from repro.core.batch_walks import DEFAULT_SHARD_SIZE
 from repro.core.kernels import validate_kernel
 from repro.core.executors import (
     METHODS,
@@ -83,12 +82,9 @@ class SimRankEngine:
         The ``l`` of the two-phase methods; default 1.
     seed:
         Seed (or generator) driving all randomness of the engine.  An integer
-        seed makes every vectorized answer a pure function of ``(graph state,
-        seed, shard_size)`` — the property the serving layer's bit-identity
-        rests on.
-    backend:
-        ``"vectorized"`` (default) or ``"python"``; the estimator engine used
-        by the sampling-based methods.
+        seed makes every answer a pure function of ``(graph state, seed,
+        shard_size)`` — the property the serving layer's bit-identity rests
+        on.
     bundle_store:
         Optional :class:`repro.service.bundle_store.WalkBundleStore` shared
         across batched sampling queries.  With a store, walk bundles persist
@@ -118,7 +114,6 @@ class SimRankEngine:
         num_walks: int = DEFAULT_NUM_WALKS,
         exact_prefix: int = DEFAULT_EXACT_PREFIX,
         seed: RandomState = None,
-        backend: str = "vectorized",
         bundle_store: "object | None" = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
         topk_index_budget_bytes: "int | None" = DEFAULT_INDEX_BUDGET_BYTES,
@@ -140,15 +135,13 @@ class SimRankEngine:
             raise InvalidParameterError(f"shard_size must be >= 1, got {shard_size}")
         self.num_walks = num_walks
         self.exact_prefix = exact_prefix
-        self.backend = validate_backend(backend)
         self.shard_size = int(shard_size)
-        self._rng = ensure_rng(seed)
         if isinstance(seed, (int, np.integer)):
             self._seed = int(seed)
         else:
             # No (or a generator) seed: derive the keyed-scheme base seed
             # from the generator so the engine stays self-consistent.
-            self._seed = int(self._rng.integers(2**63))
+            self._seed = int(ensure_rng(seed).integers(2**63))
         self._caches = EngineCaches(
             graph,
             self._graph_key(),
@@ -235,7 +228,6 @@ class SimRankEngine:
             iterations=self.iterations,
             num_walks=self.num_walks,
             exact_prefix=self.exact_prefix,
-            backend=self.backend,
             walks=SerialWalkSource(
                 self._seed, self.shard_size, store=self.bundle_store,
                 kernel=self.kernel,
@@ -256,8 +248,8 @@ class SimRankEngine:
         ``method`` is one of ``"baseline"``, ``"sampling"``, ``"two_phase"``
         (SR-TS) and ``"speedup"`` (SR-SP).  Keyword overrides are validated
         against the method's executor — each executor declares exactly the
-        overrides that are meaningful for it (e.g. ``num_walks=`` /
-        ``backend=`` for the sampled methods, ``exact_prefix=`` for the
+        overrides that are meaningful for it (e.g. ``num_walks=`` for the
+        sampled methods, ``exact_prefix=`` for the
         two-phase ones, ``max_states=`` for every exact stage) and rejects
         the rest with a clear error.
         """
@@ -291,7 +283,7 @@ class SimRankEngine:
         snapshot and want shared prefix work to accumulate across them —
         the access pattern of the index-pruned top-k helpers.
         """
-        return executor_for(method)(self.snapshot(), rng=self._rng)
+        return executor_for(method)(self.snapshot())
 
     def similarity_matrix(
         self, order: Sequence[Vertex] | None = None, **overrides: object
@@ -316,7 +308,6 @@ def compute_simrank(
     num_walks: int = DEFAULT_NUM_WALKS,
     exact_prefix: int = DEFAULT_EXACT_PREFIX,
     seed: RandomState = None,
-    backend: str = "vectorized",
     **overrides: object,
 ) -> SimRankResult:
     """One-shot convenience wrapper around :class:`SimRankEngine`.
@@ -331,6 +322,5 @@ def compute_simrank(
         num_walks=num_walks,
         exact_prefix=exact_prefix,
         seed=seed,
-        backend=backend,
     )
     return engine.similarity(u, v, method=method, **overrides)

@@ -46,9 +46,7 @@ All randomness is keyed, never stateful: walk bundles derive from the
 :func:`repro.core.batch_walks.shard_world_keys`, and SR-SP filter pairs
 from per-``(side, num_walks)`` seed sequences inside :class:`EngineCaches`.
 Results therefore do not depend on query order, batch composition, or which
-thread answers — the property the epoch-pinned service is built on.  The
-``"python"`` reference backend (scalar, stateful RNG) remains available
-through the engine for cross-validation.
+thread answers — the property the epoch-pinned service is built on.
 
 Every executor declares the overrides it accepts
 (:attr:`MethodExecutor.accepted_overrides`); an override that is
@@ -83,10 +81,8 @@ from repro.core.batch_walks import (
     meeting_probabilities_against_many,
     meeting_probabilities_from_matrices,
     sample_walk_matrix_keyed,
-    validate_backend,
 )
 from repro.core.kernels import validate_kernel
-from repro.core.sampling import sampling_simrank
 from repro.core.simrank import (
     SimRankResult,
     meeting_probability,
@@ -101,7 +97,7 @@ from repro.core.speedup import (
 from repro.core.topk_index import DEFAULT_INDEX_BUDGET_BYTES, TopKIndexStore
 from repro.obs import NULL_SCOPE
 from repro.core.transition import single_source_transition_probabilities
-from repro.core.two_phase import DEFAULT_EXACT_PREFIX, two_phase_simrank
+from repro.core.two_phase import DEFAULT_EXACT_PREFIX
 from repro.core.walks import AlphaCache
 from repro.graph.csr import CSRGraph, CSRGraphView
 from repro.graph.uncertain_graph import UncertainGraph
@@ -418,7 +414,7 @@ class SerialWalkSource(WalkSource):
     worker pool.  ``store`` may be a
     :class:`~repro.service.bundle_store.WalkBundleStore` (the engine's
     ``bundle_store=``) or any ``get``/``put`` mapping; ``None`` samples every
-    need afresh.  ``kernel`` picks the sampling backend
+    need afresh.  ``kernel`` picks the walk kernel
     (:data:`repro.core.kernels.KERNEL_ENV_VAR` resolution when ``None``) and
     affects speed only, never results.
     """
@@ -563,7 +559,6 @@ class EngineSnapshot:
     iterations: int
     num_walks: int
     exact_prefix: int = DEFAULT_EXACT_PREFIX
-    backend: str = "vectorized"
     walks: Optional[WalkSource] = None
 
     @property
@@ -580,17 +575,15 @@ class MethodExecutor:
     executor instance is cheap and batch-scoped: shared prefix work
     (transition distributions, propagation tables) accumulates on the
     instance, so reusing one executor across the chunks of a streamed query
-    keeps sharing it, while a fresh executor starts clean.
-
-    ``rng`` is only consulted by the scalar ``"python"`` reference backend
-    (per-pair, stateful); every ``"vectorized"`` path is fully keyed off the
-    snapshot and needs no generator.
+    keeps sharing it, while a fresh executor starts clean.  Every method is
+    fully keyed off the snapshot, so an executor needs no generator.
 
     ``obs_scope`` is the executor's observability hook: a
     :class:`repro.obs.StageScope` (or the no-op :data:`repro.obs.NULL_SCOPE`
     default) that times the method's internal stages — ``shared_prefix``
     (batched exact transition distributions), ``walk_sampling`` (bundle
-    resolution), ``meeting_tails`` (Monte-Carlo meeting estimation) and
+    resolution), ``meeting_tails`` (Monte-Carlo meeting estimation),
+    ``filter_build`` (SR-SP filter vectors, on a snapshot's first use) and
     ``propagation`` (SR-SP packed tables) — into latency histograms and, when
     the caller bound query traces to the scope, into per-query spans.  The
     service rebinds it per batch subset; standalone engines never touch it.
@@ -599,13 +592,8 @@ class MethodExecutor:
     method: ClassVar[str] = ""
     accepted_overrides: ClassVar[FrozenSet[str]] = frozenset()
 
-    def __init__(
-        self,
-        snapshot: EngineSnapshot,
-        rng: "np.random.Generator | None" = None,
-    ) -> None:
+    def __init__(self, snapshot: EngineSnapshot) -> None:
         self.snapshot = snapshot
-        self.rng = rng
         self.obs_scope = NULL_SCOPE
         # Per-executor shared prefix work: single-source transition
         # distributions keyed by (endpoint, steps, max_states).
@@ -834,40 +822,15 @@ class SamplingExecutor(MethodExecutor):
     """Monte-Carlo estimates (Section VI-B) from shared keyed walk bundles."""
 
     method = "sampling"
-    accepted_overrides = frozenset({"num_walks", "backend"})
+    accepted_overrides = frozenset({"num_walks"})
 
     def _run(
         self, pairs: List[Tuple[Vertex, Vertex]], overrides: Dict[str, object]
     ) -> List[SimRankResult]:
         walks = self._effective_walks(overrides)
-        backend = validate_backend(
-            str(overrides.get("backend", self.snapshot.backend))
-        )
-        snapshot = self.snapshot
-        if backend == "python":
-            # The scalar reference: per-pair stateful sampling on the pinned
-            # view, kept as the executable specification.
-            return [
-                sampling_simrank(
-                    snapshot.caches.view,
-                    u,
-                    v,
-                    decay=snapshot.decay,
-                    iterations=snapshot.iterations,
-                    num_walks=walks,
-                    rng=self.rng,
-                    backend="python",
-                )
-                for u, v in pairs
-            ]
         meetings = self._sampled_meetings(pairs, walks)
         return [
-            self._result(
-                u,
-                v,
-                meeting,
-                {"num_walks": walks, "backend": backend, "shared_bundles": True},
-            )
+            self._result(u, v, meeting, {"num_walks": walks, "shared_bundles": True})
             for (u, v), meeting in zip(pairs, meetings)
         ]
 
@@ -960,7 +923,6 @@ class SamplingExecutor(MethodExecutor):
             meeting,
             {
                 "num_walks": walks,
-                "backend": "vectorized",
                 "shared_bundles": True,
                 "accuracy_target": float(target),
                 "ci_low": ci_low,
@@ -1010,9 +972,7 @@ class TwoPhaseExecutor(MethodExecutor):
     """SR-TS (Section VI-C): shared exact prefix + shared sampled tail."""
 
     method = "two_phase"
-    accepted_overrides = frozenset(
-        {"num_walks", "backend", "exact_prefix", "max_states"}
-    )
+    accepted_overrides = frozenset({"num_walks", "exact_prefix", "max_states"})
     use_speedup: ClassVar[bool] = False
 
     def _run(
@@ -1028,13 +988,6 @@ class TwoPhaseExecutor(MethodExecutor):
             )
         max_states = int(overrides.get("max_states", DEFAULT_MAX_STATES))
         walks = self._effective_walks(overrides)
-        backend = validate_backend(
-            str(overrides.get("backend", snapshot.backend))
-        )
-        if backend == "python":
-            return [self._run_python(u, v, prefix, walks, max_states, overrides)
-                    for u, v in pairs]
-
         distributions = self._exact_distributions(
             (endpoint for pair in pairs for endpoint in pair), prefix, max_states
         )
@@ -1051,16 +1004,15 @@ class TwoPhaseExecutor(MethodExecutor):
             if tail is not None:
                 meeting += tail[prefix + 1 :]
             results.append(
-                self._result(u, v, meeting, self._details(prefix, walks, backend))
+                self._result(u, v, meeting, self._details(prefix, walks))
             )
         return results
 
-    def _details(self, prefix: int, walks: int, backend: str) -> Dict[str, object]:
+    def _details(self, prefix: int, walks: int) -> Dict[str, object]:
         return {
             "exact_prefix": prefix,
             "num_walks": walks,
             "use_speedup": self.use_speedup,
-            "backend": backend,
             "shared_prefix": True,
         }
 
@@ -1073,38 +1025,6 @@ class TwoPhaseExecutor(MethodExecutor):
         """Full-length estimated ``m(0) … m(n)``; the caller keeps the tail."""
         return self._sampled_meetings(pairs, walks)
 
-    def _run_python(
-        self,
-        u: Vertex,
-        v: Vertex,
-        prefix: int,
-        walks: int,
-        max_states: int,
-        overrides: Dict[str, object],
-    ) -> SimRankResult:
-        snapshot = self.snapshot
-        extras: Dict[str, object] = {}
-        if self.use_speedup:
-            pair = snapshot.caches.filter_pair(walks)
-            extras["filters"] = overrides.get("filters", pair[0])
-            extras["filters_v"] = overrides.get("filters_v", pair[1])
-            extras["shared_filters"] = bool(overrides.get("shared_filters", False))
-        return two_phase_simrank(
-            snapshot.caches.view,
-            u,
-            v,
-            decay=snapshot.decay,
-            iterations=snapshot.iterations,
-            exact_prefix=prefix,
-            num_walks=walks,
-            rng=self.rng,
-            use_speedup=self.use_speedup,
-            max_states=max_states,
-            alpha_cache=snapshot.caches.alpha_cache,
-            backend="python",
-            **extras,
-        )
-
 
 class SpeedupExecutor(TwoPhaseExecutor):
     """SR-SP (Section VI-D): shared prefix + per-endpoint-side propagation."""
@@ -1113,7 +1033,6 @@ class SpeedupExecutor(TwoPhaseExecutor):
     accepted_overrides = frozenset(
         {
             "num_walks",
-            "backend",
             "exact_prefix",
             "max_states",
             "filters",
@@ -1136,7 +1055,10 @@ class SpeedupExecutor(TwoPhaseExecutor):
         if filters_u is None or filters_v is None:
             # Each side defaults independently from the snapshot's cached
             # pair, so an explicit override of one side keeps the other.
-            pair = snapshot.caches.filter_pair(walks)
+            # A snapshot's first SR-SP batch per walk count builds the pair;
+            # the stage keeps that build out of the unattributed residual.
+            with self.obs_scope.stage("filter_build"):
+                pair = snapshot.caches.filter_pair(walks)
             filters_u = pair[0] if filters_u is None else filters_u
             filters_v = pair[1] if filters_v is None else filters_v
         if overrides.get("shared_filters"):
@@ -1191,10 +1113,6 @@ def executor_for(method: str) -> Type[MethodExecutor]:
         ) from None
 
 
-def make_executor(
-    method: str,
-    snapshot: EngineSnapshot,
-    rng: "np.random.Generator | None" = None,
-) -> MethodExecutor:
+def make_executor(method: str, snapshot: EngineSnapshot) -> MethodExecutor:
     """Construct the snapshot-scoped executor for one method."""
-    return executor_for(method)(snapshot, rng=rng)
+    return executor_for(method)(snapshot)

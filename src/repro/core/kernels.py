@@ -1,8 +1,8 @@
 """Pluggable kernel backends for the keyed walk sampler.
 
 Every consumer of the serving stack — the service read pool, SR-TS meeting
-tails, SR-SP filter builds, the top-k index's sketch construction — bottoms
-out in :func:`repro.core.batch_walks.sample_walk_matrix_keyed`.  Its step
+tails, the standalone per-pair estimators, the top-k index's sketch
+construction — bottoms out in :func:`repro.core.batch_walks.sample_walk_matrix_keyed`.  Its step
 loop is fully deterministic (every walk is a pure function of ``(csr,
 source, world key)``), which makes the *evaluation strategy* a free
 variable: any implementation that reproduces the splitmix64 counter scheme
@@ -10,8 +10,8 @@ bit-for-bit may run the loop.  This module is the seam where those
 implementations plug in:
 
 ``"reference"``
-    The original step loop (:func:`repro.core.batch_walks._sample_walks_core`
-    with keyed picks).  Always available; the other backends are pinned
+    The plain step loop (:func:`repro.core.batch_walks._sample_walks_core`).
+    Always available; the other backends are pinned
     bit-identical against it.
 
 ``"numpy"``
@@ -57,7 +57,6 @@ from repro.core.batch_walks import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_M1,
     _SPLITMIX_M2,
-    _pick_uniforms,
     _sample_walks_core,
     _splitmix64,
     keyed_chunk_rows,
@@ -230,21 +229,14 @@ class ReferenceKernel(KernelBackend):
     ) -> np.ndarray:
         rows = resolve_chunk_rows(csr, length, chunk_rows)
 
-        def sample_chunk(chunk_sources: np.ndarray, chunk_keys: np.ndarray):
-            return _sample_walks_core(
-                csr,
-                chunk_sources,
-                length,
-                chunk_keys,
-                lambda active, step: _pick_uniforms(chunk_keys[active], step),
-            )
-
         if sources.size <= rows:
-            return sample_chunk(sources, world_keys)
+            return _sample_walks_core(csr, sources, length, world_keys)
         return np.concatenate(
             [
-                sample_chunk(
+                _sample_walks_core(
+                    csr,
                     sources[start : start + rows],
+                    length,
                     world_keys[start : start + rows],
                 )
                 for start in range(0, sources.size, rows)

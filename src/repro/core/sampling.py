@@ -10,22 +10,23 @@ The meeting probability ``m(k)`` is estimated by the fraction of sample
 indices ``i`` whose two walks stand on the same vertex at step ``k``
 (Eq. 13), and Lemma 4 / Theorem 4 give Chernoff-style error guarantees.
 
-Two backends implement the estimator:
-
-* ``"vectorized"`` (default) — :mod:`repro.core.batch_walks` samples all
-  ``N`` walks of an endpoint simultaneously as one numpy walk matrix over the
-  :class:`~repro.graph.csr.CSRGraph` snapshot of the graph.
-* ``"python"`` — the scalar reference implementation below, one walk at a
-  time over the dict-of-dict graph.  Kept as the executable specification the
-  vectorized engine is cross-validated against.
+The walks come from the keyed sampler of :mod:`repro.core.batch_walks`: the
+``2N`` walks of a pair are one vectorized sweep over the
+:class:`~repro.graph.csr.CSRGraph` snapshot of the graph, each walk a pure
+function of a 64-bit world key drawn from the caller's generator.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, List, Sequence
+from typing import Hashable, List
 
-from repro.core.batch_walks import batch_meeting_probabilities, validate_backend
+import numpy as np
+
+from repro.core.batch_walks import (
+    meeting_probabilities_from_matrices,
+    sample_walk_matrix_keyed,
+)
 from repro.core.simrank import (
     DEFAULT_DECAY,
     DEFAULT_ITERATIONS,
@@ -34,6 +35,7 @@ from repro.core.simrank import (
     validate_decay,
     validate_iterations,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import RandomState, ensure_rng
@@ -53,85 +55,6 @@ def required_sample_size(epsilon: float, delta: float) -> int:
     return int(math.ceil(3.0 / (epsilon**2) * math.log(2.0 / delta)))
 
 
-def sample_walk(
-    graph: UncertainGraph,
-    source: Vertex,
-    length: int,
-    rng: RandomState = None,
-) -> List[Vertex]:
-    """Sample one walk of (at most) ``length`` steps starting at ``source``.
-
-    Returns the visited vertex sequence, starting with ``source``.  The walk
-    is truncated early if it reaches a vertex none of whose out-arcs were
-    instantiated (a dead end in the sampled possible world).
-    """
-    if not graph.has_vertex(source):
-        raise InvalidParameterError(f"source vertex {source!r} is not in the graph")
-    if length < 0:
-        raise InvalidParameterError(f"length must be >= 0, got {length}")
-    generator = ensure_rng(rng)
-    walk: List[Vertex] = [source]
-    instantiated: dict[Vertex, List[Vertex]] = {}
-    current = source
-    for _ in range(length):
-        if current not in instantiated:
-            out_arcs = graph.out_arcs(current)
-            present = [
-                neighbor
-                for neighbor, probability in out_arcs.items()
-                if generator.random() < probability
-            ]
-            instantiated[current] = present
-        present = instantiated[current]
-        if not present:
-            break
-        current = present[int(generator.integers(len(present)))]
-        walk.append(current)
-    return walk
-
-
-def sample_walks(
-    graph: UncertainGraph,
-    source: Vertex,
-    length: int,
-    count: int,
-    rng: RandomState = None,
-) -> List[List[Vertex]]:
-    """Sample ``count`` independent walks from ``source``."""
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
-    generator = ensure_rng(rng)
-    return [sample_walk(graph, source, length, generator) for _ in range(count)]
-
-
-def estimate_meeting_probabilities(
-    walks_u: Sequence[Sequence[Vertex]],
-    walks_v: Sequence[Sequence[Vertex]],
-    iterations: int,
-    u: Vertex,
-    v: Vertex,
-) -> List[float]:
-    """Estimate ``m(0) … m(n)`` from paired walk samples (Eq. 13).
-
-    ``m(0)`` needs no sampling: it is 1 when ``u == v`` and 0 otherwise.  For
-    ``k >= 1`` the estimate is the fraction of sample indices whose two walks
-    are both long enough and stand on the same vertex at step ``k``.
-    """
-    if len(walks_u) != len(walks_v):
-        raise InvalidParameterError("walk bundles must contain the same number of walks")
-    if not walks_u:
-        raise InvalidParameterError("at least one pair of sampled walks is required")
-    count = len(walks_u)
-    meeting = [1.0 if u == v else 0.0]
-    for k in range(1, iterations + 1):
-        hits = 0
-        for walk_u, walk_v in zip(walks_u, walks_v):
-            if len(walk_u) > k and len(walk_v) > k and walk_u[k] == walk_v[k]:
-                hits += 1
-        meeting.append(hits / count)
-    return meeting
-
-
 def sampling_meeting_probabilities(
     graph: UncertainGraph,
     u: Vertex,
@@ -139,21 +62,24 @@ def sampling_meeting_probabilities(
     iterations: int,
     num_walks: int = DEFAULT_NUM_WALKS,
     rng: RandomState = None,
-    backend: str = "vectorized",
 ) -> List[float]:
-    """Sample walk bundles from both endpoints and estimate ``m(0) … m(n)``."""
+    """Sample walk bundles from both endpoints and estimate ``m(0) … m(n)``.
+
+    Draws ``2 * num_walks`` world keys from ``rng`` (the ``u`` bundle's
+    first) and samples both bundles in one keyed sweep.
+    """
     iterations = validate_iterations(iterations)
-    backend = validate_backend(backend)
     if num_walks < 1:
         raise InvalidParameterError(f"num_walks must be >= 1, got {num_walks}")
     generator = ensure_rng(rng)
-    if backend == "vectorized":
-        return batch_meeting_probabilities(
-            graph, u, v, iterations, num_walks, generator
-        )
-    walks_u = sample_walks(graph, u, iterations, num_walks, generator)
-    walks_v = sample_walks(graph, v, iterations, num_walks, generator)
-    return estimate_meeting_probabilities(walks_u, walks_v, iterations, u, v)
+    csr = CSRGraph.from_uncertain(graph)
+    u_index, v_index = csr.index_of(u), csr.index_of(v)
+    keys = generator.integers(0, 2**64, size=2 * num_walks, dtype=np.uint64)
+    sources = np.repeat(np.array([u_index, v_index], dtype=np.int64), num_walks)
+    walks = sample_walk_matrix_keyed(csr, sources, iterations, keys)
+    return meeting_probabilities_from_matrices(
+        walks[:num_walks], walks[num_walks:], iterations, u_index == v_index
+    )
 
 
 def sampling_simrank(
@@ -164,21 +90,19 @@ def sampling_simrank(
     iterations: int = DEFAULT_ITERATIONS,
     num_walks: int = DEFAULT_NUM_WALKS,
     rng: RandomState = None,
-    backend: str = "vectorized",
 ) -> SimRankResult:
     """The Sampling algorithm (Fig. 4): estimate ``s(n)(u, v)`` by Monte Carlo.
 
     Parameters mirror :func:`repro.core.baseline.baseline_simrank`, plus
-    ``num_walks`` (the paper's ``N``, default 1000), ``rng`` for
-    reproducibility, and ``backend`` selecting the batch walk engine
-    (``"vectorized"``) or the scalar reference sampler (``"python"``).
+    ``num_walks`` (the paper's ``N``, default 1000) and ``rng`` for
+    reproducibility.
     """
     decay = validate_decay(decay)
     iterations = validate_iterations(iterations)
     if not graph.has_vertex(u) or not graph.has_vertex(v):
         raise InvalidParameterError(f"both query vertices must be in the graph: {u!r}, {v!r}")
     meeting = sampling_meeting_probabilities(
-        graph, u, v, iterations, num_walks=num_walks, rng=rng, backend=backend
+        graph, u, v, iterations, num_walks=num_walks, rng=rng
     )
     score = simrank_from_meeting_probabilities(meeting, decay)
     return SimRankResult(
@@ -189,5 +113,5 @@ def sampling_simrank(
         decay=decay,
         iterations=iterations,
         method="sampling",
-        details={"num_walks": num_walks, "backend": backend},
+        details={"num_walks": num_walks},
     )

@@ -24,21 +24,19 @@ the estimator matches the Sampling algorithm's independence assumption;
 
 The filter construction and the online propagation both run on the
 :class:`~repro.graph.csr.CSRGraph` snapshot of the graph.  Filters are stored
-twice: as per-arc :class:`BitVector` objects (the ``"python"`` reference
-backend and the public :meth:`FilterVectors.get` API) and as one
-``(num_arcs, words)`` uint64 matrix consumed by the ``"vectorized"`` backend,
-whose propagation is a handful of numpy gather / AND / segmented-OR passes
-per step instead of a Python loop over counting-table entries.  Both backends
-read the *same* sampled bits, so their estimates agree exactly.
+once, as one ``(num_arcs, words)`` uint64 matrix; each propagation step is a
+handful of numpy gather / AND / segmented-OR passes over the out-arcs of the
+step's frontier (the vertices some process stands on), as in the paper's
+Fig. 5.  The per-vertex bit-vector formulation of the same propagation is
+kept as the test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Hashable, List
 
 import numpy as np
 
-from repro.core.batch_walks import validate_backend
 from repro.core.simrank import (
     DEFAULT_DECAY,
     DEFAULT_ITERATIONS,
@@ -49,35 +47,25 @@ from repro.core.simrank import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.utils.bitvector import BitVector
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import RandomState, ensure_rng
 
 Vertex = Hashable
-Arc = Tuple[Vertex, Vertex]
 
 #: Default number of simultaneous sampling processes (the paper's ``N``).
 DEFAULT_NUM_PROCESSES = 1000
-
-#: Per-byte popcount lookup table for counting meeting processes (Eq. 16).
-_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
 
 
 def _pack_bool_rows(flags: np.ndarray, words: int) -> np.ndarray:
     """Pack a ``(rows, bits)`` boolean matrix into ``(rows, words)`` uint64.
 
-    Bit layout matches :meth:`BitVector.from_bool_array` (little bit order),
-    so the packed words and the BitVector views of the same flags agree.
+    Little bit order: column ``i`` lands in word ``i // 64`` at bit
+    ``i % 64``.
     """
     packed_bytes = np.packbits(flags, axis=1, bitorder="little")
     padded = np.zeros((flags.shape[0], words * 8), dtype=np.uint8)
     padded[:, : packed_bytes.shape[1]] = packed_bytes
     return padded.view(np.uint64)
-
-
-def _popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits in a uint64 array."""
-    return int(_POPCOUNT8[words.reshape(-1).view(np.uint8)].sum())
 
 
 class FilterVectors:
@@ -113,8 +101,6 @@ class FilterVectors:
         self._csr = csr if csr is not None else CSRGraph.from_uncertain(graph)
         self._num_processes = num_processes
         self._words = (num_processes + 63) // 64
-        self._filters: Dict[Arc, BitVector] = {}
-        self._arc_position: Dict[Arc, int] | None = None
         self._packed = np.zeros((self._csr.num_arcs, self._words), dtype=np.uint64)
         self._num_nonzero = 0
         self._build(ensure_rng(rng))
@@ -194,96 +180,8 @@ class FilterVectors:
             np.ones((1, self._num_processes), dtype=bool), self._words
         )[0]
 
-    def get(self, u: Vertex, v: Vertex) -> BitVector:
-        """Filter vector of arc ``(u, v)`` (all-zero if no process chose it).
-
-        BitVector views are materialised lazily from the packed words; the
-        offline build itself stays pure-array.
-        """
-        cached = self._filters.get((u, v))
-        if cached is not None:
-            return cached
-        if self._arc_position is None:
-            csr = self._csr
-            sources = csr.arc_sources()
-            self._arc_position = {
-                (csr.vertex_at(int(sources[arc])), csr.vertex_at(int(csr.indices[arc]))): arc
-                for arc in range(csr.num_arcs)
-            }
-        position = self._arc_position.get((u, v))
-        if position is None:
-            return BitVector.zeros(self._num_processes)
-        bits = int.from_bytes(self._packed[position].tobytes(), "little")
-        vector = BitVector(self._num_processes, bits)
-        self._filters[(u, v)] = vector
-        return vector
-
     def __len__(self) -> int:
         return self._num_nonzero
-
-
-CountingTables = List[Dict[Vertex, BitVector]]
-
-
-def propagate_counting_tables(
-    graph: UncertainGraph,
-    source: Vertex,
-    steps: int,
-    filters: FilterVectors,
-) -> CountingTables:
-    """Propagate the counting tables of ``source`` for ``steps`` steps.
-
-    Returns ``tables`` with ``tables[k][w]`` the bit vector recording in which
-    sampling processes ``w`` is the ``k``-th vertex of the walk from
-    ``source`` (vertices with an all-zero vector omitted).  ``tables[0]`` maps
-    ``source`` to the all-ones vector.
-    """
-    if not graph.has_vertex(source):
-        raise InvalidParameterError(f"source vertex {source!r} is not in the graph")
-    if steps < 0:
-        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-    n = filters.num_processes
-    tables: CountingTables = [{source: BitVector.ones(n)}]
-    for _ in range(steps):
-        current = tables[-1]
-        next_table: Dict[Vertex, BitVector] = {}
-        for vertex, mask in current.items():
-            for neighbor in graph.out_neighbors(vertex):
-                arc_filter = filters.get(vertex, neighbor)
-                if arc_filter.is_zero():
-                    continue
-                moved = mask & arc_filter
-                if moved.is_zero():
-                    continue
-                if neighbor in next_table:
-                    next_table[neighbor] = next_table[neighbor] | moved
-                else:
-                    next_table[neighbor] = moved
-        tables.append(next_table)
-    return tables
-
-
-def meeting_probabilities_from_tables(
-    tables_u: CountingTables,
-    tables_v: CountingTables,
-    num_processes: int,
-    u: Vertex,
-    v: Vertex,
-) -> List[float]:
-    """Eq. 16: estimate ``m(k)`` from two endpoints' counting tables."""
-    if len(tables_u) != len(tables_v):
-        raise InvalidParameterError("counting tables must cover the same number of steps")
-    meeting = [1.0 if u == v else 0.0]
-    for k in range(1, len(tables_u)):
-        table_u, table_v = tables_u[k], tables_v[k]
-        smaller, larger = (table_u, table_v) if len(table_u) <= len(table_v) else (table_v, table_u)
-        hits = 0
-        for vertex, mask in smaller.items():
-            other = larger.get(vertex)
-            if other is not None:
-                hits += (mask & other).count()
-        meeting.append(hits / num_processes)
-    return meeting
 
 
 def propagate_packed_tables(
@@ -291,13 +189,15 @@ def propagate_packed_tables(
     steps: int,
     filters: FilterVectors,
 ) -> np.ndarray:
-    """Array form of :func:`propagate_counting_tables` on packed filter words.
+    """Propagate the counting tables of ``source`` for ``steps`` steps.
 
     Returns a ``(steps + 1, n, words)`` uint64 array ``tables`` with
     ``tables[k][w]`` the packed bit vector recording in which sampling
-    processes vertex ``w`` is the ``k``-th vertex of the walk from ``source``.
-    Each step is one gather over arc sources, one AND with the packed filter
-    bits, and one destination-grouped OR reduction — no per-vertex Python.
+    processes vertex ``w`` is the ``k``-th vertex of the walk from ``source``
+    (``M_w[k]`` of the paper); ``tables[0][source]`` is all ones.  Each step
+    visits only the out-arcs of its frontier — the vertices with a non-zero
+    vector — with one gather, one AND with the packed filter bits, and one
+    destination-grouped OR reduction.
     """
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
@@ -308,14 +208,27 @@ def propagate_packed_tables(
     tables[0, csr.index_of(source)] = filters.ones_mask()
     if csr.num_arcs == 0:
         return tables
-    permutation, group_starts, group_targets = csr.csc_groups()
-    sources = csr.arc_sources()[permutation]
-    packed = filters.packed[permutation]
+    # Arcs in destination-grouped (CSC) order: any subset keeps each
+    # destination's arcs contiguous, ready for a segmented reduction.
+    permutation, _, _ = csr.csc_groups()
+    arc_sources = csr.arc_sources()[permutation]
+    arc_targets = csr.indices[permutation]
+    frontier = np.zeros(csr.num_vertices, dtype=bool)
+    frontier[csr.index_of(source)] = True
     for step in range(steps):
-        contribution = tables[step][sources] & packed
-        tables[step + 1][group_targets] = np.bitwise_or.reduceat(
-            contribution, group_starts, axis=0
-        )
+        arcs = np.flatnonzero(frontier[arc_sources])
+        if arcs.size == 0:
+            break
+        targets = arc_targets[arcs]
+        starts = np.flatnonzero(np.concatenate(([True], targets[1:] != targets[:-1])))
+        # np.take gathers whole rows several times faster than fancy indexing.
+        contribution = np.take(tables[step], arc_sources[arcs], axis=0)
+        contribution &= np.take(filters.packed, permutation[arcs], axis=0)
+        reached = np.bitwise_or.reduceat(contribution, starts, axis=0)
+        destinations = targets[starts]
+        tables[step + 1][destinations] = reached
+        frontier[:] = False
+        frontier[destinations] = reached.any(axis=1)
     return tables
 
 
@@ -329,10 +242,8 @@ def packed_meeting_probabilities(
     """Eq. 16 on packed counting tables: popcount of the per-vertex ANDs."""
     if tables_u.shape != tables_v.shape:
         raise InvalidParameterError("counting tables must cover the same number of steps")
-    meeting = [1.0 if u == v else 0.0]
-    for k in range(1, tables_u.shape[0]):
-        meeting.append(_popcount_words(tables_u[k] & tables_v[k]) / num_processes)
-    return meeting
+    hits = np.bitwise_count(tables_u[1:] & tables_v[1:]).sum(axis=(1, 2), dtype=np.int64)
+    return [1.0 if u == v else 0.0] + (hits / num_processes).tolist()
 
 
 def speedup_meeting_probabilities(
@@ -345,7 +256,6 @@ def speedup_meeting_probabilities(
     shared_filters: bool = False,
     filters: FilterVectors | None = None,
     filters_v: FilterVectors | None = None,
-    backend: str = "vectorized",
 ) -> List[float]:
     """Estimate ``m(0) … m(n)`` with the bit-vector propagation of SR-SP.
 
@@ -355,14 +265,8 @@ def speedup_meeting_probabilities(
     the ``v``-side bundle uses, in order of precedence, the same set when
     ``shared_filters=True``, the explicit ``filters_v``, or a freshly drawn
     set.
-
-    ``backend`` selects the online phase: ``"vectorized"`` propagates the
-    packed uint64 filter matrix with numpy segmented reductions, ``"python"``
-    walks the per-vertex :class:`BitVector` counting tables.  Both read the
-    same sampled filter bits and therefore return identical estimates.
     """
     iterations = validate_iterations(iterations)
-    backend = validate_backend(backend)
     generator = ensure_rng(rng)
     filters_u = filters if filters is not None else FilterVectors(graph, num_processes, generator)
     if filters_u.num_processes != num_processes:
@@ -375,13 +279,9 @@ def speedup_meeting_probabilities(
         raise InvalidParameterError(
             "filters and filters_v must encode the same number of sampling processes"
         )
-    if backend == "vectorized":
-        packed_u = propagate_packed_tables(u, iterations, filters_u)
-        packed_v = propagate_packed_tables(v, iterations, filters_v)
-        return packed_meeting_probabilities(packed_u, packed_v, num_processes, u, v)
-    tables_u = propagate_counting_tables(graph, u, iterations, filters_u)
-    tables_v = propagate_counting_tables(graph, v, iterations, filters_v)
-    return meeting_probabilities_from_tables(tables_u, tables_v, num_processes, u, v)
+    tables_u = propagate_packed_tables(u, iterations, filters_u)
+    tables_v = propagate_packed_tables(v, iterations, filters_v)
+    return packed_meeting_probabilities(tables_u, tables_v, num_processes, u, v)
 
 
 def speedup_simrank(
@@ -395,7 +295,6 @@ def speedup_simrank(
     shared_filters: bool = False,
     filters: FilterVectors | None = None,
     filters_v: FilterVectors | None = None,
-    backend: str = "vectorized",
 ) -> SimRankResult:
     """SimRank estimate using the SR-SP bit-vector sampling for every step.
 
@@ -419,7 +318,6 @@ def speedup_simrank(
         shared_filters=shared_filters,
         filters=filters,
         filters_v=filters_v,
-        backend=backend,
     )
     score = simrank_from_meeting_probabilities(meeting, decay)
     return SimRankResult(

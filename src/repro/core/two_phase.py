@@ -59,13 +59,11 @@ def two_phase_meeting_probabilities(
     shared_filters: bool = False,
     max_states: int = 500_000,
     alpha_cache: AlphaCache | None = None,
-    backend: str = "vectorized",
 ) -> List[float]:
     """Meeting probabilities with an exact prefix and a sampled tail.
 
     Returns ``m(0) … m(n)`` where entries ``k <= exact_prefix`` are exact and
-    the rest are Monte-Carlo estimates.  ``backend`` selects the sampling
-    engine of stage 2 (see :mod:`repro.core.batch_walks`).
+    the rest are Monte-Carlo estimates.
     """
     iterations = validate_iterations(iterations)
     if not 0 <= exact_prefix <= iterations:
@@ -92,11 +90,10 @@ def two_phase_meeting_probabilities(
             shared_filters=shared_filters,
             filters=filters,
             filters_v=filters_v,
-            backend=backend,
         )
     else:
         estimated = sampling_meeting_probabilities(
-            graph, u, v, iterations, num_walks=num_walks, rng=generator, backend=backend
+            graph, u, v, iterations, num_walks=num_walks, rng=generator
         )
     return exact + estimated[exact_prefix + 1 :]
 
@@ -116,7 +113,6 @@ def two_phase_simrank(
     shared_filters: bool = False,
     max_states: int = 500_000,
     alpha_cache: AlphaCache | None = None,
-    backend: str = "vectorized",
 ) -> SimRankResult:
     """The two-phase algorithm (SR-TS, or SR-SP when ``use_speedup=True``).
 
@@ -152,7 +148,6 @@ def two_phase_simrank(
         shared_filters=shared_filters,
         max_states=max_states,
         alpha_cache=alpha_cache,
-        backend=backend,
     )
     score = simrank_from_meeting_probabilities(meeting, decay)
     return SimRankResult(
@@ -167,6 +162,5 @@ def two_phase_simrank(
             "exact_prefix": exact_prefix,
             "num_walks": num_walks,
             "use_speedup": use_speedup,
-            "backend": backend,
         },
     )

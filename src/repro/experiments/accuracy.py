@@ -23,7 +23,7 @@ from repro.core.walks import AlphaCache
 from repro.datasets.registry import load_dataset
 from repro.experiments.report import format_table
 from repro.graph.generators import related_vertex_pairs
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState, experiment_rngs
 from repro.utils.stats import relative_error
 
 
@@ -59,11 +59,11 @@ def run_accuracy_experiment(
     Pairs on which the Baseline reference itself cannot be computed (walk
     explosion) or whose reference similarity is zero are skipped.
     """
-    generator = ensure_rng(seed)
+    inputs, generator = experiment_rngs(seed)
     results: List[AccuracyResult] = []
     for name in datasets:
         graph = load_dataset(name)
-        pairs = related_vertex_pairs(graph, num_pairs, rng=generator)
+        pairs = related_vertex_pairs(graph, num_pairs, rng=inputs)
         cache = AlphaCache(graph)
         filters = FilterVectors(graph, num_walks, generator)
         filters_v = FilterVectors(graph, num_walks, generator)

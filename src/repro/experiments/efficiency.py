@@ -34,7 +34,7 @@ from repro.core.walks import AlphaCache
 from repro.datasets.registry import load_dataset
 from repro.experiments.report import format_table
 from repro.graph.generators import random_vertex_pairs
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState, experiment_rngs
 from repro.utils.timer import time_call
 
 
@@ -66,11 +66,11 @@ def run_efficiency_experiment(
     include_baseline: bool = True,
 ) -> List[EfficiencyResult]:
     """Run E3 and return the average per-pair execution times."""
-    generator = ensure_rng(seed)
+    inputs, generator = experiment_rngs(seed)
     results: List[EfficiencyResult] = []
     for name in datasets:
         graph = load_dataset(name)
-        pairs = random_vertex_pairs(graph, num_pairs, rng=generator)
+        pairs = random_vertex_pairs(graph, num_pairs, rng=inputs)
         cache = AlphaCache(graph)
         filters = FilterVectors(graph, num_walks, generator)
         filters_v = FilterVectors(graph, num_walks, generator)

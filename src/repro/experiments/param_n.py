@@ -21,7 +21,7 @@ from repro.core.walks import AlphaCache
 from repro.datasets.registry import load_dataset
 from repro.experiments.report import format_table
 from repro.graph.generators import related_vertex_pairs
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState, experiment_rngs
 from repro.utils.stats import relative_error
 from repro.utils.timer import time_call
 
@@ -48,9 +48,9 @@ def run_param_n_experiment(
     max_states: int = 400_000,
 ) -> List[ParamNResult]:
     """Run E5 and return one result series per algorithm (SR-TS, SR-SP)."""
-    generator = ensure_rng(seed)
+    inputs, generator = experiment_rngs(seed)
     graph = load_dataset(dataset)
-    pairs = related_vertex_pairs(graph, num_pairs, rng=generator)
+    pairs = related_vertex_pairs(graph, num_pairs, rng=inputs)
     cache = AlphaCache(graph)
 
     # Baseline references (pairs that explode or have zero similarity are dropped).

@@ -27,7 +27,7 @@ from repro.core.two_phase import two_phase_simrank
 from repro.core.walks import AlphaCache
 from repro.experiments.report import format_table
 from repro.graph.generators import random_vertex_pairs, rmat_uncertain
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState, ensure_rng, experiment_rngs
 from repro.utils.timer import time_call
 
 
@@ -50,20 +50,14 @@ def run_scalability_experiment(
     exact_prefix: int = 1,
     num_walks: int = 400,
     seed: RandomState = 43,
-    backend: str = "vectorized",
 ) -> List[ScalabilityResult]:
-    """Run E6: SR-TS / SR-SP execution time on R-MAT graphs of growing size.
-
-    ``backend`` selects the sampling engine for the Monte-Carlo stages (see
-    :mod:`repro.core.batch_walks`); pass ``"python"`` to time the scalar
-    reference implementation instead of the batch walk engine.
-    """
-    generator = ensure_rng(seed)
+    """Run E6: SR-TS / SR-SP execution time on R-MAT graphs of growing size."""
+    inputs, generator = experiment_rngs(seed)
     sr_ts = ScalabilityResult(algorithm="SR-TS")
     sr_sp = ScalabilityResult(algorithm="SR-SP")
     for num_edges in edge_counts:
-        graph = rmat_uncertain(num_vertices, num_edges, rng=generator)
-        pairs = random_vertex_pairs(graph, num_pairs, rng=generator)
+        graph = rmat_uncertain(num_vertices, num_edges, rng=inputs)
+        pairs = random_vertex_pairs(graph, num_pairs, rng=inputs)
         cache = AlphaCache(graph)
         filters = FilterVectors(graph, num_walks, generator)
         filters_v = FilterVectors(graph, num_walks, generator)
@@ -74,7 +68,6 @@ def run_scalability_experiment(
                 graph, u, v,
                 decay=decay, iterations=iterations, exact_prefix=exact_prefix,
                 num_walks=num_walks, rng=generator, alpha_cache=cache,
-                backend=backend,
             )
             totals["SR-TS"] += elapsed
             _, elapsed = time_call(
@@ -83,7 +76,6 @@ def run_scalability_experiment(
                 decay=decay, iterations=iterations, exact_prefix=exact_prefix,
                 num_walks=num_walks, rng=generator, use_speedup=True,
                 filters=filters, filters_v=filters_v, alpha_cache=cache,
-                backend=backend,
             )
             totals["SR-SP"] += elapsed
         for series, key in ((sr_ts, "SR-TS"), (sr_sp, "SR-SP")):

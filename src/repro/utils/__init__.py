@@ -1,6 +1,5 @@
-"""Shared utilities: bit vectors, RNG plumbing, timing and error statistics."""
+"""Shared utilities: RNG plumbing, timing and error statistics."""
 
-from repro.utils.bitvector import BitVector, popcount
 from repro.utils.errors import (
     GraphFormatError,
     InvalidParameterError,
@@ -16,8 +15,6 @@ from repro.utils.stats import (
 from repro.utils.timer import Timer, timed
 
 __all__ = [
-    "BitVector",
-    "popcount",
     "GraphFormatError",
     "InvalidParameterError",
     "ReproError",

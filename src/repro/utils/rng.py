@@ -30,6 +30,21 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def experiment_rngs(
+    seed: RandomState,
+) -> tuple[np.random.Generator, np.random.Generator]:
+    """An ``(inputs, estimators)`` generator pair for one experiment run.
+
+    Experiments draw their graphs and query pairs from ``inputs`` and hand
+    ``estimators`` to the algorithms they time, so a change in how many
+    numbers an estimator consumes never re-draws a later dataset's pairs.
+    ``inputs`` is ``ensure_rng(seed)`` itself; ``estimators`` is spawned
+    from it without advancing its stream.
+    """
+    inputs = ensure_rng(seed)
+    return inputs, inputs.spawn(1)[0]
+
+
 def spawn_rngs(seed: RandomState, count: int) -> list[np.random.Generator]:
     """Derive ``count`` statistically independent generators from ``seed``.
 

@@ -16,18 +16,10 @@ from repro.core.baseline import (
     baseline_simrank,
     baseline_simrank_all_pairs,
 )
-from repro.core.sampling import (
-    estimate_meeting_probabilities,
-    required_sample_size,
-    sample_walk,
-    sample_walks,
-    sampling_simrank,
-)
+from repro.core.sampling import required_sample_size, sampling_simrank
 from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.core.speedup import (
     FilterVectors,
-    meeting_probabilities_from_tables,
-    propagate_counting_tables,
     speedup_meeting_probabilities,
     speedup_simrank,
 )
@@ -35,6 +27,14 @@ from repro.core.transition import exact_transition_matrices_by_enumeration
 from repro.core.two_phase import two_phase_meeting_probabilities, two_phase_simrank
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import (
+    estimate_meeting_probabilities,
+    filter_vectors,
+    meeting_probabilities_from_tables,
+    propagate_counting_tables,
+    sample_walk,
+    sample_walks,
+)
 
 
 class TestBaseline:
@@ -155,13 +155,14 @@ class TestSpeedup:
     def test_filter_vectors_partition_choices(self, paper_graph):
         """For every vertex and sample index at most one out-arc is chosen."""
         filters = FilterVectors(paper_graph, 64, rng=1)
+        arcs = filter_vectors(filters)
         for vertex in paper_graph.vertices():
             neighbors = paper_graph.out_neighbors(vertex)
             if not neighbors:
                 continue
             union_count = 0
             for i in range(64):
-                chosen = sum(filters.get(vertex, w).get(i) for w in neighbors)
+                chosen = sum(arcs[(vertex, w)].get(i) for w in neighbors)
                 assert chosen <= 1
                 union_count += chosen
             # With reasonably high arc probabilities most samples choose something.
@@ -176,7 +177,11 @@ class TestSpeedup:
 
     def test_missing_arc_filter_is_zero(self, paper_graph):
         filters = FilterVectors(paper_graph, 16, rng=3)
-        assert filters.get("v1", "v5").is_zero()
+        arcs = filter_vectors(filters)
+        assert not paper_graph.has_arc("v1", "v5")
+        assert ("v1", "v5") not in arcs
+        assert len(arcs) == paper_graph.num_arcs
+        assert all(vector.width == 16 for vector in arcs.values())
 
     def test_propagation_starts_with_all_ones(self, paper_graph):
         filters = FilterVectors(paper_graph, 32, rng=4)

@@ -1,4 +1,4 @@
-"""Unit and property tests for repro.utils.bitvector."""
+"""Unit and property tests for the BitVector oracle of tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.bitvector import BitVector, popcount
+from tests.oracles import BitVector, popcount
 
 
 class TestPopcount:

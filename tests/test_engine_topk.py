@@ -8,6 +8,7 @@ from repro.core.baseline import baseline_simrank
 from repro.core.engine import METHODS, SimRankEngine, compute_simrank
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import scalar_sampling_simrank
 
 
 class TestEngine:
@@ -58,7 +59,7 @@ class TestEngine:
         paper_graph.add_arc("v5", "v1", 0.4)
         assert engine.filters is not before
         assert engine.filters_v is not before_v
-        assert engine.filters.get("v5", "v1").width == 64
+        assert engine.filters.packed.shape == (paper_graph.num_arcs, 1)
 
     def test_filters_invalidated_by_graph_reassignment(self, paper_graph):
         engine = SimRankEngine(paper_graph, num_walks=64, seed=5)
@@ -69,26 +70,26 @@ class TestEngine:
         assert after.graph is engine.graph
 
     def test_backend_validation(self, paper_graph):
-        with pytest.raises(InvalidParameterError):
-            SimRankEngine(paper_graph, backend="magic")
+        """The keyed sampler is the only one: there is no backend option."""
+        with pytest.raises(TypeError):
+            SimRankEngine(paper_graph, backend="python")
 
     def test_backends_statistically_consistent(self, paper_graph):
-        """Acceptance criterion: python and vectorized sampling estimates agree."""
+        """The engine's keyed estimate and the scalar oracle's agree."""
         exact = baseline_simrank(paper_graph, "v1", "v2", iterations=4).score
-        for backend in ("python", "vectorized"):
-            engine = SimRankEngine(
-                paper_graph, iterations=4, num_walks=5000, seed=2, backend=backend
-            )
-            result = engine.similarity("v1", "v2", method="sampling")
-            assert result.details["backend"] == backend
-            assert result.score == pytest.approx(exact, abs=0.025)
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=5000, seed=2)
+        keyed = engine.similarity("v1", "v2", method="sampling").score
+        scalar = scalar_sampling_simrank(
+            paper_graph, "v1", "v2", iterations=4, num_walks=5000, rng=2
+        )
+        assert keyed == pytest.approx(exact, abs=0.025)
+        assert scalar == pytest.approx(exact, abs=0.025)
 
-    def test_backend_forwarded_to_two_phase(self, paper_graph):
-        engine = SimRankEngine(paper_graph, num_walks=100, seed=9, backend="python")
-        result = engine.similarity("v1", "v2", method="two_phase")
-        assert result.details["backend"] == "python"
-        override = engine.similarity("v1", "v2", method="two_phase", backend="vectorized")
-        assert override.details["backend"] == "vectorized"
+    def test_backend_override_rejected(self, paper_graph):
+        engine = SimRankEngine(paper_graph, num_walks=100, seed=9)
+        for method in ("sampling", "two_phase", "speedup"):
+            with pytest.raises(InvalidParameterError, match="backend"):
+                engine.similarity("v1", "v2", method=method, backend="python")
 
     def test_similarity_many(self, paper_graph):
         engine = SimRankEngine(paper_graph, num_walks=100, seed=7)
@@ -104,11 +105,6 @@ class TestEngine:
         for result in results:
             exact = baseline_simrank(paper_graph, result.u, result.v, iterations=4).score
             assert result.score == pytest.approx(exact, abs=0.025)
-
-    def test_similarity_many_python_backend_falls_back(self, paper_graph):
-        engine = SimRankEngine(paper_graph, num_walks=50, seed=7, backend="python")
-        results = engine.similarity_many([("v1", "v2"), ("v2", "v3")], method="sampling")
-        assert all("shared_bundles" not in r.details for r in results)
 
     def test_similarity_many_rejects_unknown_vertices(self, paper_graph):
         engine = SimRankEngine(paper_graph, num_walks=50, seed=7)

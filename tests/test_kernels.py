@@ -1,12 +1,12 @@
 """The kernel backend layer: resolution, bit-identity, and batched mixing.
 
 Every backend of :mod:`repro.core.kernels` must sample walk matrices
-bit-identical to the original ``_sample_walks_core`` step loop — the
+bit-identical to the plain ``_sample_walks_core`` step loop — the
 property the whole deterministic serving stack (sharding, epochs, bundle
 stores) rests on.  The suites here sweep chunk sizes, kernel names, and
 graph shapes chosen to drive the fused numpy kernel through both its dense
 fast path and its ragged path, and cross-validate the keyed scheme against
-the scalar ``backend="python"`` reference statistically.  The numba suite
+the scalar sampler of ``tests/oracles.py`` statistically.  The numba suite
 auto-skips when numba is not installed.
 """
 
@@ -18,7 +18,6 @@ import pytest
 import repro.core.batch_walks as batch_walks
 from repro.core.batch_walks import (
     KEYED_CHUNK_MIN_ROWS,
-    _pick_uniforms,
     _sample_walks_core,
     endpoint_world_keys,
     sample_walk_matrix_keyed,
@@ -49,6 +48,7 @@ from repro.service.tenancy import GraphTenant, TenantConfig
 from repro.utils.errors import InvalidParameterError
 
 from tests.conftest import small_random_uncertain_graph
+from tests.oracles import scalar_sampling_simrank
 
 #: Monte-Carlo tolerance for two independent estimates at the sizes below.
 MC_TOLERANCE = 0.05
@@ -58,10 +58,7 @@ def reference_walks(
     csr: CSRGraph, sources: np.ndarray, length: int, keys: np.ndarray
 ) -> np.ndarray:
     """The unchunked original step loop — the ground truth of bit-identity."""
-    return _sample_walks_core(
-        csr, sources, length, keys,
-        lambda active, step: _pick_uniforms(keys[active], step),
-    )
+    return _sample_walks_core(csr, sources, length, keys)
 
 
 def keyed_request(csr: CSRGraph, count: int, seed: int):
@@ -253,12 +250,12 @@ class TestBitIdentity:
             assert walks.shape == (0, 6)
 
     def test_scalar_python_backend_statistical_agreement(self, paper_graph):
-        """The keyed kernels agree with the scalar reference estimator."""
+        """The keyed kernels agree with the scalar oracle's estimator."""
         keyed = SimRankEngine(paper_graph, seed=3, num_walks=4000, kernel="numpy")
-        scalar = SimRankEngine(paper_graph, seed=3, backend="python")
+        generator = np.random.default_rng(3)
         for u, v in [("v1", "v2"), ("v2", "v3")]:
             a = keyed.similarity(u, v, method="sampling").score
-            b = scalar.similarity(u, v, method="sampling", num_walks=4000).score
+            b = scalar_sampling_simrank(paper_graph, u, v, num_walks=4000, rng=generator)
             assert a == pytest.approx(b, abs=MC_TOLERANCE)
 
 
@@ -382,11 +379,6 @@ class TestMemoizationAndDeprecation:
         assert keys.shape == (40,)
         assert np.array_equal(keys[:16], shard_world_keys(7, 3, False, 0, 16))
         assert np.array_equal(keys[32:], shard_world_keys(7, 3, False, 2, 8))
-
-    def test_keyed_chunk_rows_alias_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="KEYED_CHUNK_ROWS"):
-            value = batch_walks.KEYED_CHUNK_ROWS
-        assert value == KEYED_CHUNK_MIN_ROWS
 
     def test_unknown_module_attribute_still_raises(self):
         with pytest.raises(AttributeError):

@@ -326,6 +326,25 @@ class TestServiceIntegration:
         assert histograms["stage_ms.meeting_tails"]["count"] >= 1
         assert histograms["stage_ms.shared_prefix"]["count"] >= 1
 
+    def test_cold_srsp_query_times_its_filter_build(self):
+        """The first SR-SP batch of a snapshot builds its filter pair inside
+        the ``filter_build`` stage, nested under ``execute`` like the other
+        executor stages, instead of in no stage at all."""
+        events = []
+        obs = Observability(tracing=True, trace_sink=events.append)
+        with SimilarityService(example_graph(), num_walks=50, seed=7, obs=obs) as service:
+            result = service.pair("v1", "v2", method="speedup")
+            histograms = service.service_stats()["metrics"]["histograms"]
+        assert histograms["stage_ms.filter_build"]["count"] >= 1
+        assert histograms["stage_ms.propagation"]["count"] >= 1
+        spans = [
+            e for e in events
+            if e["type"] == "span" and e["trace"] == result.details["trace_id"]
+        ]
+        (execute,) = [s for s in spans if s["name"] == "execute"]
+        (build,) = [s for s in spans if s["name"] == "filter_build"]
+        assert build["parent"] == execute["id"]
+
     def test_tracing_never_changes_answers(self):
         def scores(obs):
             with SimilarityService(example_graph(), num_walks=80, seed=7, obs=obs) as service:

@@ -113,7 +113,7 @@ class TestShardedWalkSampler:
         )
 
     def test_sharded_bundles_bit_identical_across_executors(self, paper_graph):
-        """Acceptance pin: sharded results == single-process vectorized backend.
+        """Acceptance pin: sharded results == the single-process serial sweep.
 
         The same seed and shard scheme must yield byte-identical walk
         matrices whether sampling runs serially in-process, across threads,
